@@ -98,7 +98,7 @@ from repro.transform import (
 
 #: Single source of the package version: ``setup.py`` parses this
 #: assignment and the CLI exposes it as ``repro --version``.
-__version__ = "1.4.0"
+__version__ = "1.5.0"
 
 __all__ = [
     "obs",

@@ -30,10 +30,10 @@ class CacheSetState:
 
     def lookup(self, block: Hashable) -> Optional[int]:
         """Line index holding ``block``, or None (ClSet, Eq. 1)."""
-        for line, content in enumerate(self.lines):
-            if content == block:
-                return line
-        return None
+        try:
+            return self.lines.index(block)
+        except ValueError:
+            return None
 
     def access(self, policy: ReplacementPolicy, block: Hashable,
                allocate: bool = True) -> Tuple[bool, Optional[int]]:
@@ -42,18 +42,31 @@ class CacheSetState:
         With ``allocate=False`` (write miss under no-write-allocate) the
         set state is left unchanged on a miss and the line is None.
         """
-        line = self.lookup(block)
-        if line is not None:
-            self.policy_state = policy.on_hit(self.policy_state,
-                                              self.assoc, line)
-            return True, line
-        if not allocate:
-            return False, None
-        occupied = [content is not None for content in self.lines]
+        try:
+            line = self.lines.index(block)
+        except ValueError:
+            if not allocate:
+                return False, None
+            line, _ = self.fill(policy, block)
+            return False, line
+        self.policy_state = policy.on_hit(self.policy_state, self.assoc,
+                                          line)
+        return True, line
+
+    def fill(self, policy: ReplacementPolicy,
+             block: Hashable) -> Tuple[int, Optional[Hashable]]:
+        """Allocate a line for ``block`` (not cached); returns the line
+        and the block it evicted (None when the line was empty)."""
+        lines = self.lines
+        if None in lines:
+            occupied = [content is not None for content in lines]
+        else:
+            occupied = None
         line, self.policy_state = policy.on_miss(self.policy_state,
                                                  self.assoc, occupied)
-        self.lines[line] = block
-        return False, line
+        victim = lines[line]
+        lines[line] = block
+        return line, victim
 
     def clone(self) -> "CacheSetState":
         copy = CacheSetState.__new__(CacheSetState)

@@ -95,37 +95,19 @@ class CacheHierarchy:
             return self._access_inclusive(block, is_write)
         return self._access_exclusive(block, is_write)
 
-    @staticmethod
-    def _peek_victim(cache: Cache, set_state) -> Optional[int]:
-        """The block the next allocation in ``set_state`` would evict."""
-        occupied = [content is not None for content in set_state.lines]
-        victim_line, _ = cache.policy.on_miss(
-            set_state.policy_state, set_state.assoc, occupied)
-        return set_state.lines[victim_line]
-
     def _lookup_and_update(self, level_index: int, block: int,
-                           is_write: bool, capture_victim: bool = False):
-        """One level's access; returns (hit, evicted block or None).
-
-        The victim peek costs a second replacement-policy query per
-        allocating miss, so it is only performed when the inclusion
-        policy needs the victim (``capture_victim``).
-        """
+                           is_write: bool):
+        """One level's access; returns (hit, evicted block or None)."""
         cache = self.levels[level_index]
-        allocate = (not is_write
-                    or cache.config.write_policy
-                    is WritePolicy.WRITE_ALLOCATE)
         set_state = cache.sets[cache.config.index_of(block)]
-        victim = None
-        if (capture_victim and allocate
-                and set_state.lookup(block) is None):
-            victim = self._peek_victim(cache, set_state)
-        hit, _ = set_state.access(cache.policy, block, allocate)
-        if hit:
+        if set_state.access(cache.policy, block, allocate=False)[0]:
             cache.hits += 1
-        else:
-            cache.misses += 1
-        return hit, victim
+            return True, None
+        cache.misses += 1
+        if (is_write and cache.config.write_policy
+                is not WritePolicy.WRITE_ALLOCATE):
+            return False, None
+        return False, set_state.fill(cache.policy, block)[1]
 
     def _access_nine(self, block: int, is_write: bool):
         hit, _ = self._lookup_and_update(0, block, is_write)
@@ -150,8 +132,7 @@ class CacheHierarchy:
         outcomes: List[Optional[bool]] = [False] + \
             [None] * (self.depth - 1)
         for index in range(1, self.depth):
-            hit, victim = self._lookup_and_update(
-                index, block, is_write, capture_victim=True)
+            hit, victim = self._lookup_and_update(index, block, is_write)
             outcomes[index] = hit
             if not hit and victim is not None:
                 for shallower in self.levels[:index]:
@@ -161,8 +142,7 @@ class CacheHierarchy:
         return tuple(outcomes)
 
     def _access_exclusive(self, block: int, is_write: bool):
-        hit1, victim = self._lookup_and_update(0, block, is_write,
-                                               capture_victim=True)
+        hit1, victim = self._lookup_and_update(0, block, is_write)
         if hit1:
             return self._l1_hit_outcome
         outcomes: List[Optional[bool]] = [False] + \
@@ -194,11 +174,9 @@ class CacheHierarchy:
         """Insert an evicted block into a victim level; returns its victim."""
         cache = self.levels[level_index]
         set_state = cache.sets[cache.config.index_of(block)]
-        victim = None
-        if set_state.lookup(block) is None:
-            victim = self._peek_victim(cache, set_state)
-        set_state.access(cache.policy, block, True)
-        return victim
+        if set_state.access(cache.policy, block, allocate=False)[0]:
+            return None
+        return set_state.fill(cache.policy, block)[1]
 
     def _invalidate(self, cache: Cache, block: int) -> None:
         set_state = cache.sets[cache.config.index_of(block)]

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.cache.policies.base import ReplacementPolicy
+from repro.cache.policies.lru import fill_in_order
 
 
 class FIFO(ReplacementPolicy):
@@ -12,7 +13,7 @@ class FIFO(ReplacementPolicy):
 
     Policy state is the tuple of line indices ordered from last-in to
     first-in.  Hits do not modify the state (the defining difference from
-    LRU).
+    LRU); misses are LRU's.
     """
 
     name = "fifo"
@@ -25,9 +26,5 @@ class FIFO(ReplacementPolicy):
         return state
 
     def on_miss(self, state: Tuple[int, ...], assoc: int,
-                occupied: Sequence[bool]):
-        empty = [l for l in state if not occupied[l]]
-        line = empty[-1] if empty else state[-1]
-        if state and state[0] == line:
-            return line, state
-        return line, (line,) + tuple(l for l in state if l != line)
+                occupied: Optional[Sequence[bool]]):
+        return fill_in_order(state, occupied)

@@ -2,9 +2,32 @@
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.cache.policies.base import ReplacementPolicy
+
+
+def move_to_front(state: Tuple[int, ...], line: int) -> Tuple[int, ...]:
+    """``state`` with ``line`` moved to position 0, the rest in order."""
+    if state[0] == line:
+        return state
+    index = state.index(line)
+    return (line,) + state[:index] + state[index + 1:]
+
+
+def fill_in_order(state: Tuple[int, ...],
+                  occupied: Optional[Sequence[bool]]):
+    """Miss transition of the order-based policies (LRU, FIFO).
+
+    Fills the last empty line in ``state`` order if one exists
+    (deterministic fill-invalid-first), otherwise evicts the last line,
+    and moves the filled line to the front.
+    """
+    if occupied is not None and False in occupied:
+        line = next(l for l in reversed(state) if not occupied[l])
+        return line, move_to_front(state, line)
+    line = state[-1]
+    return line, (line,) + state[:-1]
 
 
 class LRU(ReplacementPolicy):
@@ -22,18 +45,8 @@ class LRU(ReplacementPolicy):
 
     def on_hit(self, state: Tuple[int, ...], assoc: int,
                line: int) -> Tuple[int, ...]:
-        return self._move_to_front(state, line)
+        return move_to_front(state, line)
 
     def on_miss(self, state: Tuple[int, ...], assoc: int,
-                occupied: Sequence[bool]):
-        empty = [l for l in state if not occupied[l]]
-        # Fill the least-recently-used empty line if one exists
-        # (deterministic fill-invalid-first), otherwise evict the LRU line.
-        line = empty[-1] if empty else state[-1]
-        return line, self._move_to_front(state, line)
-
-    @staticmethod
-    def _move_to_front(state: Tuple[int, ...], line: int) -> Tuple[int, ...]:
-        if state and state[0] == line:
-            return state
-        return (line,) + tuple(l for l in state if l != line)
+                occupied: Optional[Sequence[bool]]):
+        return fill_in_order(state, occupied)

@@ -31,9 +31,10 @@ class NMRU(ReplacementPolicy):
         return line
 
     def on_miss(self, state: Optional[int], assoc: int,
-                occupied: Sequence[bool]) -> Tuple[int, Optional[int]]:
-        for line in range(assoc):
-            if not occupied[line]:
-                return line, line
-        victim = next(line for line in range(assoc) if line != state)
-        return victim, victim
+                occupied: Optional[Sequence[bool]]
+                ) -> Tuple[int, Optional[int]]:
+        if occupied is not None and False in occupied:
+            line = occupied.index(False)
+        else:
+            line = 1 if state == 0 else 0
+        return line, line

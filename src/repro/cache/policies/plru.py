@@ -11,9 +11,30 @@ microarchitectures (paper Sec. 2.1 and [3]).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence, Tuple
 
 from repro.cache.policies.base import ReplacementPolicy
+
+
+def _touch_masks(assoc: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Per-line ``(keep, point)`` masks: touching ``line`` maps a state
+    to ``state & keep[line] | point[line]`` — the bits on the line's
+    root path are cleared, then set where they must point away."""
+    num_inner = assoc - 1
+    full = (1 << num_inner) - 1
+    keep, point = [], []
+    for line in range(assoc):
+        path = away = 0
+        node = line + num_inner  # leaf position in heap order
+        while node > 0:
+            parent = (node - 1) // 2
+            path |= 1 << parent
+            if node == 2 * parent + 1:  # went left: point right (1)
+                away |= 1 << parent
+            node = parent
+        keep.append(full & ~path)
+        point.append(away)
+    return tuple(keep), tuple(point)
 
 
 class PLRU(ReplacementPolicy):
@@ -21,47 +42,38 @@ class PLRU(ReplacementPolicy):
 
     Policy state is an ``int`` whose bit ``k`` is the direction bit of
     inner node ``k`` in heap order (root = node 0).  Bit value 0 means
-    "victim is in the left subtree", 1 means right.
+    "victim is in the left subtree", 1 means right.  Hits and fills
+    apply per-line masks, computed once per associativity.
     """
 
     name = "plru"
 
+    def __init__(self):
+        # assoc -> _touch_masks(assoc), filled by initial_state, which
+        # every cache set calls before its first transition.
+        self._masks = {}
+
     def initial_state(self, assoc: int) -> int:
         if assoc & (assoc - 1):
             raise ValueError("PLRU requires a power-of-two associativity")
+        if assoc not in self._masks:
+            self._masks[assoc] = _touch_masks(assoc)
         return 0
 
     def on_hit(self, state: int, assoc: int, line: int) -> int:
-        return self._touch(state, assoc, line)
+        keep, point = self._masks[assoc]
+        return state & keep[line] | point[line]
 
-    def on_miss(self, state: int, assoc: int, occupied: Sequence[bool]):
-        line = None
-        for cand in range(assoc):
-            if not occupied[cand]:
-                line = cand
-                break
-        if line is None:
+    def on_miss(self, state: int, assoc: int,
+                occupied: Optional[Sequence[bool]]):
+        if occupied is not None and False in occupied:
+            line = occupied.index(False)
+        else:
             # Follow the direction bits from the root to a leaf.
             node = 0
             num_inner = assoc - 1
             while node < num_inner:
-                bit = (state >> node) & 1
-                node = 2 * node + 1 + bit
+                node = 2 * node + 1 + (state >> node & 1)
             line = node - num_inner
-        return line, self._touch(state, assoc, line)
-
-    @staticmethod
-    def _touch(state: int, assoc: int, line: int) -> int:
-        """Flip path bits to point away from ``line``."""
-        num_inner = assoc - 1
-        node = line + num_inner  # leaf position in heap order
-        while node > 0:
-            parent = (node - 1) // 2
-            went_right = node == 2 * parent + 2
-            # Point away: bit = 0 if we went right, 1 if we went left.
-            if went_right:
-                state &= ~(1 << parent)
-            else:
-                state |= 1 << parent
-            node = parent
-        return state
+        keep, point = self._masks[assoc]
+        return line, state & keep[line] | point[line]

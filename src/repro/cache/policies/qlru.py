@@ -19,7 +19,7 @@ block identities (data independence holds by construction).
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.cache.policies.base import ReplacementPolicy
 
@@ -39,20 +39,18 @@ class QLRU(ReplacementPolicy):
                line: int) -> Tuple[int, ...]:
         if state[line] == 0:
             return state
-        ages = list(state)
-        ages[line] = 0
-        return tuple(ages)
+        return state[:line] + (0,) + state[line + 1:]
 
     def on_miss(self, state: Tuple[int, ...], assoc: int,
-                occupied: Sequence[bool]):
-        for line in range(assoc):
-            if not occupied[line]:
-                ages = list(state)
-                ages[line] = INSERT_AGE
-                return line, tuple(ages)
-        ages = list(state)
-        while all(age < MAX_AGE for age in ages):
-            ages = [age + 1 for age in ages]
-        line = next(l for l in range(assoc) if ages[l] >= MAX_AGE)
-        ages[line] = INSERT_AGE
-        return line, tuple(ages)
+                occupied: Optional[Sequence[bool]]):
+        if occupied is not None and False in occupied:
+            line = occupied.index(False)
+        else:
+            # The aging sweep adds MAX_AGE - max(ages) to every age; the
+            # victim is the lowest-indexed line that was oldest.
+            oldest = max(state)
+            line = state.index(oldest)
+            if oldest < MAX_AGE:
+                bump = MAX_AGE - oldest
+                state = tuple(age + bump for age in state)
+        return line, state[:line] + (INSERT_AGE,) + state[line + 1:]

@@ -297,11 +297,19 @@ def stop_heartbeats(timeout: float = 2.0) -> None:
 
 
 def pool_worker_init(store_path: str, interval: float) -> None:
-    """``multiprocessing.Pool`` initializer for heartbeat-enabled sweeps."""
+    """``multiprocessing.Pool`` initializer for heartbeat-enabled sweeps.
+
+    The writer is stopped (writing the worker's final state) when the
+    worker process exits normally, i.e. when the pool is closed and
+    joined; a poke rate-limited away after the last point would
+    otherwise leave a stale ``points_done`` behind.
+    """
     import multiprocessing
+    from multiprocessing.util import Finalize
 
     start_heartbeats(store_path, interval,
                      worker=multiprocessing.current_process().name)
+    Finalize(None, stop_heartbeats, exitpriority=10)
 
 
 # -- campaign metadata -------------------------------------------------------

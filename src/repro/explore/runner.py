@@ -77,6 +77,10 @@ def map_parallel(fn: Callable, tasks: Sequence,
                                   initargs=initargs) as pool:
             for record in pool.imap_unordered(fn, tasks):
                 consume(record)
+            # Let the workers exit normally, so that their exit
+            # handlers run (leaving the ``with`` terminates them).
+            pool.close()
+            pool.join()
     else:
         for task in tasks:
             consume(fn(task))

@@ -37,6 +37,30 @@ from repro.polyhedral.model import AccessNode
 SymBlock = Tuple[AccessNode, Tuple[int, ...]]
 
 
+class SnapshotKey:
+    """A cache state's match key (:meth:`SymbolicCache.snapshot_key`).
+
+    Keys compare by their parts.  The hash is combined from the sets'
+    cached part hashes, so hashing a key (once per history lookup and
+    once per store under match detection) costs one step per set instead
+    of rehashing every line's symbol.
+    """
+
+    __slots__ = ("parts", "_hash")
+
+    def __init__(self, parts: tuple, hash_value: int):
+        self.parts = parts
+        self._hash = hash_value
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return (other.__class__ is SnapshotKey
+                and self._hash == other._hash
+                and self.parts == other.parts)
+
+
 class SymbolicSetState:
     """One cache set holding concrete blocks and their symbols."""
 
@@ -49,77 +73,87 @@ class SymbolicSetState:
         self.syms: List[Optional[SymBlock]] = [None] * assoc
         self.policy_state = policy.initial_state(assoc)
         self.version = 0
-        # depth -> (version, canonical part, max own-coordinate or None)
+        # depth -> (version, canonical part, max own-coordinate or None,
+        # hash of the canonical part)
         self._key_cache: dict = {}
 
     def access(self, policy: ReplacementPolicy, block: int, sym: SymBlock,
                allocate: bool) -> bool:
         """Concrete update + re-symbolisation (SymUpSet); returns hit."""
-        self.version += 1
         try:
             # list.index scans at C speed — this lookup runs once per
             # simulated access and dominates the symbolic hot path.
             line = self.blocks.index(block)
         except ValueError:
-            if not allocate:
-                return False
-            occupied = [content is not None for content in self.blocks]
-            line, self.policy_state = policy.on_miss(self.policy_state,
-                                                     self.assoc, occupied)
-            self.blocks[line] = block
-            self.syms[line] = sym
+            if allocate:
+                self.fill(policy, block, sym)
             return False
+        self.version += 1
         self.policy_state = policy.on_hit(self.policy_state,
                                           self.assoc, line)
         self.syms[line] = sym
         return True
 
-    def rel_key(self, depth: int, current: Tuple[int, ...]) -> Tuple:
-        """Hashable content key relative to the iteration ``current``.
+    def fill(self, policy: ReplacementPolicy, block: int,
+             sym: SymBlock) -> Optional[Tuple[int, SymBlock]]:
+        """Allocate a line for ``block`` (not cached); returns the
+        displaced ``(block, sym)`` pair, or None if the line was empty."""
+        self.version += 1
+        blocks = self.blocks
+        syms = self.syms
+        if None in blocks:
+            line, self.policy_state = policy.on_miss(
+                self.policy_state, self.assoc,
+                [content is not None for content in blocks])
+            victim = None
+        else:
+            line, self.policy_state = policy.on_miss(
+                self.policy_state, self.assoc, None)
+            victim = (blocks[line], syms[line])
+        blocks[line] = block
+        syms[line] = sym
+        return victim
+
+    def canonical_key(self, depth: int) -> Tuple:
+        """``(version, canonical part, max own coordinate, hash of the
+        canonical part)`` of this set's match key at loop depth ``depth``
+        (cached until the set changes).
 
         Two set states produce equal keys (within one execution of the
         hashing loop, i.e. for a fixed iterator prefix) iff their symbols
         agree after re-basing onto the current iteration — the symbolic
-        equality of Theorem 3.
-
-        The key splits into a *canonical part* that depends only on the
-        contents (cached until the set is modified) and a scalar that
-        re-bases the warped iterator: symbol coordinates other than the
-        loop's own dim are kept absolute (the prefix is fixed within an
-        execution; deeper coordinates repeat exactly across matching
-        iterations), while own-dim coordinates are normalised by the
-        set's maximum own coordinate, whose offset from the current
-        iterator value becomes the scalar component.
+        equality of Theorem 3.  The key splits into the *canonical part*,
+        which depends only on the contents, and a scalar that re-bases
+        the warped iterator (see :meth:`SymbolicCache.snapshot_key`):
+        symbol coordinates other than the loop's own dim are kept
+        absolute (the prefix is fixed within an execution; deeper
+        coordinates repeat exactly across matching iterations), while
+        own-dim coordinates are normalised by the set's maximum own
+        coordinate, whose offset from the current iterator value is the
+        scalar.
         """
-        own_index = depth - 1
         cached = self._key_cache.get(depth)
-        if cached is None or cached[0] != self.version:
-            max_own = None
-            for sym in self.syms:
-                if sym is not None and len(sym[1]) > own_index:
-                    value = sym[1][own_index]
-                    if max_own is None or value > max_own:
-                        max_own = value
-            sym_keys = []
-            for sym in self.syms:
-                if sym is None:
-                    sym_keys.append(None)
-                    continue
-                node, point = sym
-                if len(point) > own_index:
-                    rel = tuple(
-                        value - max_own if k == own_index else value
-                        for k, value in enumerate(point)
-                    )
-                else:
-                    rel = point
-                sym_keys.append((id(node), rel))
-            cached = (self.version,
-                      (self.policy_state, tuple(sym_keys)), max_own)
-            self._key_cache[depth] = cached
-        _, canonical, max_own = cached
-        scalar = None if max_own is None else max_own - current[own_index]
-        return (canonical, scalar)
+        if cached is not None and cached[0] == self.version:
+            return cached
+        own_index = depth - 1
+        syms = self.syms
+        # A symbol keys as (node, own offset, coordinates before, after)
+        # — the re-based point, without concatenating a new tuple; nodes
+        # compare by identity.
+        owns = [sym[1][own_index] for sym in syms
+                if sym is not None and len(sym[1]) > own_index]
+        max_own = max(owns) if owns else None
+        canonical = [
+            (sym[0], sym[1][own_index] - max_own,
+             sym[1][:own_index], sym[1][depth:])
+            if sym is not None and len(sym[1]) > own_index else sym
+            for sym in syms
+        ]
+        canonical.append(self.policy_state)
+        canonical = tuple(canonical)
+        cached = self._key_cache[depth] = (self.version, canonical, max_own,
+                                           hash(canonical))
+        return cached
 
     def clone(self) -> "SymbolicSetState":
         copy = SymbolicSetState.__new__(SymbolicSetState)
@@ -158,16 +192,6 @@ class SymbolicCache:
             self.misses += 1
         return hit
 
-    def _peek_victim(self, set_state: SymbolicSetState):
-        """The (block, sym) entry the next allocation would displace."""
-        occupied = [content is not None for content in set_state.blocks]
-        victim_line, _ = self.policy.on_miss(
-            set_state.policy_state, set_state.assoc, occupied)
-        if set_state.blocks[victim_line] is None:
-            return None
-        return (set_state.blocks[victim_line],
-                set_state.syms[victim_line])
-
     def access_capture(self, block: int, sym: SymBlock, is_write: bool):
         """Like :meth:`access`, but also returns the evicted entry.
 
@@ -176,21 +200,17 @@ class SymbolicCache:
         non-allocating write miss, or an empty line filled).  Mirrors
         :meth:`CacheHierarchy._lookup_and_update` on the symbolic side.
         """
-        allocate = (not is_write
-                    or self.config.write_policy is WritePolicy.WRITE_ALLOCATE)
         index = self.config.index_of(block)
         self.mru_set = index
         set_state = self.sets[index]
-        victim = None
-        if allocate and block not in set_state.blocks:
-            victim = self._peek_victim(set_state)
-        hit = set_state.access(self.policy, block, sym, allocate)
-        if hit:
+        if set_state.access(self.policy, block, sym, False):
             self.hits += 1
-            victim = None
-        else:
-            self.misses += 1
-        return hit, victim
+            return True, None
+        self.misses += 1
+        if (is_write and self.config.write_policy
+                is not WritePolicy.WRITE_ALLOCATE):
+            return False, None
+        return False, set_state.fill(self.policy, block, sym)
 
     def probe_extract(self, block: int) -> bool:
         """Exclusive-hierarchy lookup: a hit removes the block.
@@ -222,11 +242,9 @@ class SymbolicCache:
         index = self.config.index_of(block)
         self.mru_set = index
         set_state = self.sets[index]
-        victim = None
-        if block not in set_state.blocks:
-            victim = self._peek_victim(set_state)
-        set_state.access(self.policy, block, sym, True)
-        return victim
+        if set_state.access(self.policy, block, sym, False):
+            return None
+        return set_state.fill(self.policy, block, sym)
 
     def invalidate(self, block: int) -> None:
         """Inclusive-hierarchy back-invalidation: drop a block if present.
@@ -244,21 +262,32 @@ class SymbolicCache:
 
     # -- match detection ----------------------------------------------------------
 
-    def snapshot_key(self, depth: int, current: Tuple[int, ...]) -> Tuple:
+    def snapshot_key(self, depth: int,
+                     current: Tuple[int, ...]) -> SnapshotKey:
         """Rotation-canonical state key (paper Sec. 5.3).
 
         Hashing starts at the most-recently-accessed set and cycles, so
         two states that are equal up to a rotation of the cache sets
         produce the same key; the rotation offset is recovered from the
-        difference of the two states' ``mru_set`` values.
+        difference of the two states' ``mru_set`` values.  Each set
+        contributes its canonical part and the offset of its maximum
+        own-dim coordinate from ``current`` (see
+        :meth:`SymbolicSetState.canonical_key`).
         """
         obs.count("sym.snapshot_keys")
-        num_sets = self.config.num_sets
-        per_set = tuple(
-            self.sets[(self.mru_set + k) % num_sets].rel_key(depth, current)
-            for k in range(num_sets)
-        )
-        return per_set
+        own = current[depth - 1]
+        sets = self.sets
+        mru = self.mru_set
+        parts = []
+        hashes = []
+        for state in sets[mru:] + sets[:mru]:
+            _, canonical, max_own, part_hash = state.canonical_key(depth)
+            scalar = None if max_own is None else max_own - own
+            parts.append(canonical)
+            parts.append(scalar)
+            hashes.append(part_hash)
+            hashes.append(scalar)
+        return SnapshotKey(tuple(parts), hash(tuple(hashes)))
 
     # -- warping -----------------------------------------------------------------------
 

@@ -51,28 +51,6 @@ from repro.simulation.symbolic import (
 TargetConfig = Union[CacheConfig, HierarchyConfig]
 
 
-class _NineLevels:
-    """Adapter: a bare list of symbolic caches under NINE descent.
-
-    Kept for callers (tests, analyses) that build a runner from raw
-    levels rather than a :class:`SingleLevel`/:class:`SymbolicHierarchy`.
-    """
-
-    __slots__ = ("levels",)
-
-    def __init__(self, levels: Sequence[SymbolicCache]):
-        self.levels = tuple(levels)
-
-    def access(self, block: int, sym, is_write: bool) -> bool:
-        hit1 = self.levels[0].access(block, sym, is_write)
-        hit = hit1
-        for level in self.levels[1:]:
-            if hit:
-                break
-            hit = level.access(block, sym, is_write)
-        return hit1
-
-
 def simulate_warping(scop: Scop, config: TargetConfig,
                      enable_warping: bool = True,
                      memo=None) -> SimulationResult:
@@ -146,13 +124,10 @@ class _WarpingRunner:
     max_matchless_executions = 3
 
     def __init__(self, scop: Scop,
-                 target: Union[SingleLevel, SymbolicHierarchy,
-                               Sequence[SymbolicCache]],
+                 target: Union[SingleLevel, SymbolicHierarchy],
                  enable_warping: bool = True,
                  memo=None):
         self.scop = scop
-        if isinstance(target, (list, tuple)):
-            target = _NineLevels(target)
         self.target = target
         self.levels: List[SymbolicCache] = list(target.levels)
         self.block_size = self.levels[0].config.block_size
@@ -195,6 +170,8 @@ class _WarpingRunner:
         self._invariance: Dict[Tuple[int, int], str] = {}
         # Static pair-level disjointness for FurthestByOverlap.
         self._pair_disjoint: Dict[Tuple[int, int], bool] = {}
+        # Per-loop-node (leaf rows, body segments); see _body_segments.
+        self._bodies: Dict[int, Tuple[Optional[list], list]] = {}
         # Per-loop-node count of executions that found no match at all.
         self._matchless_runs: Dict[int, int] = {}
         # Stable node/loop keys (preorder indices): identical for every
@@ -209,12 +186,24 @@ class _WarpingRunner:
             id(loop): index
             for index, loop in enumerate(scop.loop_nodes())
         }
-        # Profiling hooks are bound at construction time: with no active
-        # tracer, the per-access and per-iteration hot paths carry zero
-        # instrumentation (``self._tracer is None`` branches only).
+        # The per-access kernel inlines the set lookup/update of an
+        # unsharded single cache with modulo placement: (cache, number
+        # of sets, associativity, write-allocate?, policy transitions).
+        self._inline: Optional[tuple] = None
+        if isinstance(target, SingleLevel) and self.shard_modulus == 1:
+            cache = target.cache
+            cfg = cache.config
+            if (type(cfg).index_of is CacheConfig.index_of
+                    and cfg.index_function is IndexFunction.MODULO):
+                self._inline = (
+                    cache, cfg.num_sets, cfg.assoc,
+                    cfg.write_policy is WritePolicy.WRITE_ALLOCATE,
+                    cache.policy.on_hit, cache.policy.on_miss)
+        # The tracer is bound at construction time.  It only times
+        # coarse units (leaf batches, match bookkeeping, warp attempts),
+        # so a profiled run executes exactly the code of an unprofiled
+        # one.
         self._tracer = obs.current()
-        if self._tracer is not None:
-            self.run_access = self._run_access_traced
 
     def _analysis_scope(self, loop: LoopNode,
                         prefix: Tuple[int, ...]) -> Dict:
@@ -239,7 +228,8 @@ class _WarpingRunner:
             self.run_loop(node, prefix)
 
     def run_access(self, node: AccessNode, point: Tuple[int, ...]) -> None:
-        """AccessNode::WarpingSimulate."""
+        """AccessNode::WarpingSimulate, for accesses outside every loop
+        (inside loops, :meth:`_run_leaf_batch` performs the accesses)."""
         if not node.in_domain(point):
             return
         block = node.addr_at(point) // self.block_size
@@ -253,28 +243,28 @@ class _WarpingRunner:
         # inclusive / exclusive descent, victim flow, invalidations).
         self.target.access(block, sym, node.is_write)
 
-    def _run_access_traced(self, node: AccessNode,
-                           point: Tuple[int, ...]) -> None:
-        """run_access with symbolic-update time attribution (profiling
-        builds only; bound over ``run_access`` in ``__init__``)."""
-        start = time.perf_counter()
-        _WarpingRunner.run_access(self, node, point)
-        self._tracer.add_time("sym.access",
-                              time.perf_counter() - start)
-
     def run_loop(self, loop: LoopNode, prefix: Tuple[int, ...]) -> None:
         """LoopNode::WarpingSimulate."""
         bounds = loop.bounds_at(prefix)
         if bounds is None:
             return
         lo, hi = bounds
-        stride = loop.stride
-        depth = loop.depth
-        children = loop.children
-        check_domain = not loop._bounds_exact
+        shape = self._bodies.get(id(loop))
+        if shape is None:
+            shape = self._bodies[id(loop)] = _body_segments(loop)
+        leaf, body = shape
+        leaf_body = leaf is not None
         matchless = self._matchless_runs.get(id(loop), 0)
         matching = (self.enable_warping and loop._bounds_exact
                     and matchless < self.max_matchless_executions)
+        if leaf_body and not matching:
+            # Innermost loop with match detection off: the whole
+            # execution is straight-line symbolic access work.
+            self._run_leaf_batch(loop, prefix, lo, hi, leaf)
+            return
+        stride = loop.stride
+        depth = loop.depth
+        check_domain = not loop._bounds_exact
         had_match = False
         history: Dict[Tuple, Tuple[int, Tuple[Tuple[int, int], ...], int]] = {}
         # Per-loop-execution caches for the polyhedral analyses
@@ -282,34 +272,11 @@ class _WarpingRunner:
         analysis_cache: Dict = self._analysis_scope(loop, prefix)
         fail_streak = 0
         tracer = self._tracer
-        leaf_body = all(
-            isinstance(child, AccessNode) for child in children)
         value = lo
         while value <= hi:
             if leaf_body and not matching:
-                if tracer is None:
-                    # Innermost loop with match detection off: the rest
-                    # of this execution is straight-line symbolic access
-                    # work — drain it through the batch fast path
-                    # (incremental addresses, inlined set lookup).
-                    self._run_leaf_batch(loop, prefix, value, hi)
-                    break
-                # Profiling, innermost loop, match detection off: the
-                # rest of this execution is pure symbolic access work —
-                # drain it under one timed window so the probe cost and
-                # the loop machinery are attributed, not self time.
-                t0 = time.perf_counter()
-                n_calls = 0
-                run_access = _WarpingRunner.run_access
-                while value <= hi:
-                    point = prefix + (value,)
-                    if not check_domain or loop.in_domain(point):
-                        for child in children:
-                            run_access(self, child, point)
-                        n_calls += len(children)
-                    value += stride
-                tracer.add_time("sym.access",
-                                time.perf_counter() - t0, n_calls)
+                # Match detection gave up: drain the rest.
+                self._run_leaf_batch(loop, prefix, value, hi, leaf)
                 break
             point = prefix + (value,)
             if check_domain and not loop.in_domain(point):
@@ -325,10 +292,8 @@ class _WarpingRunner:
                 if bookkeeping is not None:
                     bookkeeping.__enter__()
                 try:
-                    key = tuple(
-                        level.snapshot_key(depth, point)
-                        for level in self.levels
-                    )
+                    key = tuple([level.snapshot_key(depth, point)
+                                 for level in self.levels])
                     entry = history.get(key)
                     if entry is not None:
                         had_match = True
@@ -364,35 +329,22 @@ class _WarpingRunner:
                                     # (sound: warping is an
                                     # acceleration, never required).
                                     matching = False
-                    counters = tuple((lvl.hits, lvl.misses)
-                                     for lvl in self.levels)
+                    counters = tuple([(lvl.hits, lvl.misses)
+                                      for lvl in self.levels])
                     history[key] = (value, counters, self.accesses)
                 finally:
                     if bookkeeping is not None:
                         bookkeeping.__exit__()
             if not warped:
-                if tracer is None:
-                    for child in children:
-                        if isinstance(child, AccessNode):
-                            self.run_access(child, point)
-                        else:
-                            self.run_loop(child, point)
-                elif leaf_body:
-                    # Innermost loop: one timed window per iteration
-                    # instead of per access, so the probe cost (two
-                    # clock reads) amortises over the whole body.
-                    t0 = time.perf_counter()
-                    for child in children:
-                        _WarpingRunner.run_access(self, child, point)
-                    tracer.add_time("sym.access",
-                                    time.perf_counter() - t0,
-                                    len(children))
+                if leaf_body:
+                    self._run_leaf_batch(loop, prefix, value, value, leaf)
                 else:
-                    for child in children:
-                        if isinstance(child, AccessNode):
-                            self._run_access_traced(child, point)
+                    for segment in body:
+                        if segment.__class__ is list:
+                            self._run_leaf_batch(loop, prefix, value,
+                                                 value, segment)
                         else:
-                            self.run_loop(child, point)
+                            self.run_loop(segment, point)
                 value += stride
         if self.enable_warping and loop._bounds_exact and (
                 matching or had_match):
@@ -400,14 +352,17 @@ class _WarpingRunner:
                 0 if had_match else matchless + 1)
 
     def _run_leaf_batch(self, loop: LoopNode, prefix: Tuple[int, ...],
-                        value: int, hi: int) -> None:
-        """Drain ``value..hi`` of an innermost loop without match detection.
+                        value: int, hi: int, rows: list) -> None:
+        """Perform the accesses of ``rows`` (an access run of ``loop``'s
+        body, see :func:`_body_segments`) at iterations ``value..hi`` of
+        ``loop``.
 
-        Semantically identical to running :meth:`run_access` for every
-        child at every in-domain iteration, but restructured for speed —
-        this is where warp-hostile kernels (match detection disabled
-        after ``max_matchless_executions``) spend essentially all their
-        time:
+        The engine's one per-access kernel: every explicit access inside
+        a loop goes through it, whether it drains an innermost loop whose
+        match detection is off, runs one iteration simulated under match
+        detection (``value == hi``), or performs the accesses of a mixed
+        body.  Semantically identical to accessing the target for every
+        child at every in-domain iteration, but restructured for speed:
 
         * each child's byte address is affine in the loop iterator, so it
           is advanced by a constant per iteration instead of re-evaluated;
@@ -416,39 +371,24 @@ class _WarpingRunner:
           set lookup/update (``SymbolicCache.access`` +
           ``SymbolicSetState.access``) is inlined with counters and the
           MRU index kept in locals.
+
+        Under an active tracer the call is one ``sym.access`` span.
         """
-        children = loop.children
+        tracer = self._tracer
+        if tracer is not None:
+            start = time.perf_counter()
         stride = loop.stride
         check_domain = not loop._bounds_exact
-        own_index = loop.depth - 1
         block_size = self.block_size
         first_point = prefix + (value,)
         # [node, byte address, per-iteration step, guarded?, is_write]
-        infos = []
-        for node in children:
-            coeff = (node.coeff_vector()[own_index]
-                     if own_index < len(node.dims) else 0)
-            infos.append([node, node.addr_at(first_point),
-                          coeff * stride, node.domain is not None,
-                          node.is_write])
-        target = self.target
-        inline = None
-        if isinstance(target, SingleLevel) and self.shard_modulus == 1:
-            cfg = target.cache.config
-            if (type(cfg).index_of is CacheConfig.index_of
-                    and cfg.index_function is IndexFunction.MODULO):
-                inline = target.cache
+        infos = [[node, node.addr_at(first_point), step, guarded, is_write]
+                 for node, step, guarded, is_write in rows]
         count = 0
-        if inline is not None:
-            policy = inline.policy
+        if self._inline is not None:
+            (inline, num_sets, assoc, allocate_writes, on_hit,
+             on_miss) = self._inline
             sets = inline.sets
-            cfg = inline.config
-            num_sets = cfg.num_sets
-            assoc = cfg.assoc
-            allocate_writes = (cfg.write_policy
-                               is WritePolicy.WRITE_ALLOCATE)
-            on_hit = policy.on_hit
-            on_miss = policy.on_miss
             hits = inline.hits
             misses = inline.misses
             mru = inline.mru_set
@@ -462,27 +402,27 @@ class _WarpingRunner:
                         block = info[1] // block_size
                         mru = block % num_sets
                         state = sets[mru]
-                        state.version += 1
                         blocks = state.blocks
+                        count += 1
                         try:
                             line = blocks.index(block)
                         except ValueError:
+                            misses += 1
                             if info[4] and not allocate_writes:
-                                misses += 1
-                            else:
-                                occupied = [content is not None
-                                            for content in blocks]
-                                line, state.policy_state = on_miss(
-                                    state.policy_state, assoc, occupied)
-                                blocks[line] = block
-                                state.syms[line] = (node, point)
-                                misses += 1
+                                continue
+                            # A full set (the common case) needs no
+                            # occupancy list.
+                            line, state.policy_state = on_miss(
+                                state.policy_state, assoc,
+                                [content is not None for content in blocks]
+                                if None in blocks else None)
+                            blocks[line] = block
                         else:
                             state.policy_state = on_hit(
                                 state.policy_state, assoc, line)
-                            state.syms[line] = (node, point)
                             hits += 1
-                        count += 1
+                        state.syms[line] = (node, point)
+                        state.version += 1
                 for info in infos:
                     info[1] += info[2]
                 value += stride
@@ -490,7 +430,7 @@ class _WarpingRunner:
             inline.misses = misses
             inline.mru_set = mru
         else:
-            target_access = target.access
+            target_access = self.target.access
             modulus = self.shard_modulus
             residue = self.shard_residue
             while value <= hi:
@@ -510,6 +450,9 @@ class _WarpingRunner:
                 value += stride
         self.accesses += count
         self.explicit_accesses += count
+        if tracer is not None:
+            tracer.add_time("sym.access", time.perf_counter() - start,
+                            count)
 
     # -- warping --------------------------------------------------------------------
 
@@ -1104,6 +1047,35 @@ class _WarpingRunner:
                 lo_addr += coeff * hi
                 hi_addr += coeff * lo
         return lo_addr // self.block_size, hi_addr // self.block_size
+
+
+def _body_segments(loop: LoopNode) -> Tuple[Optional[list], list]:
+    """``(leaf, segments)`` of ``loop``'s body, for
+    :meth:`_WarpingRunner._run_leaf_batch`.
+
+    An access run is a list of ``(node, address step per iteration,
+    guarded?, is_write)`` rows, one kernel call per run and iteration.
+    ``leaf`` is the whole body's run when every child is an access (and
+    ``segments`` is empty); otherwise ``leaf`` is None and ``segments``
+    is the body as access runs and nested loops.
+    """
+    own_index = loop.depth - 1
+    segments: List = []
+    run: List = []
+    for child in loop.children:
+        if isinstance(child, AccessNode):
+            run.append((child, child.coeff_vector()[own_index] * loop.stride,
+                        child.domain is not None, child.is_write))
+            continue
+        if run:
+            segments.append(run)
+            run = []
+        segments.append(child)
+    if not segments:
+        return run, []
+    if run:
+        segments.append(run)
+    return None, segments
 
 
 def _same_constraints(a: Sequence[LinExpr], b: Sequence[LinExpr]) -> bool:

@@ -20,6 +20,10 @@ from repro.obs.tracer import Tracer
 from repro.polybench import build_kernel
 from repro.simulation import simulate_nonwarping, simulate_warping
 from repro.cache.cache import Cache
+from repro.explore.runner import run_sweep, simulate_point
+from repro.explore.spec import SweepPoint
+from repro.perf.workloads import SCALED_L, scaled_l1
+from repro.simulation.warping import _WarpingRunner
 
 
 @pytest.fixture(autouse=True)
@@ -208,6 +212,64 @@ class TestEngineCounters:
             traced = simulate_warping(scop, GEMM_CONFIG)
         assert traced.l1_misses == plain.l1_misses
         assert traced.accesses == plain.accesses
+
+
+class TestOneCodePath:
+    """A profiled run executes the code of an unprofiled one: the same
+    per-access kernel calls with the same explicit accesses."""
+
+    @staticmethod
+    def _kernel_calls(monkeypatch, run):
+        calls = []
+        original = _WarpingRunner._run_leaf_batch
+
+        def counted(self, loop, prefix, value, hi, rows):
+            original(self, loop, prefix, value, hi, rows)
+            calls.append((prefix, value, hi,
+                          [row[0].label for row in rows],
+                          self.explicit_accesses))
+
+        monkeypatch.setattr(_WarpingRunner, "_run_leaf_batch", counted)
+        try:
+            result = run()
+        finally:
+            monkeypatch.undo()
+        return calls, result
+
+    def test_engine_run_with_and_without_tracer(self, monkeypatch):
+        scop = build_kernel("heat-3d", SCALED_L["heat-3d"])
+        config = scaled_l1()
+        plain_calls, plain = self._kernel_calls(
+            monkeypatch, lambda: simulate_warping(scop, config))
+
+        def profiled():
+            with obs.collect() as tracer:
+                return simulate_warping(scop, config), tracer
+
+        traced_calls, (traced, tracer) = self._kernel_calls(
+            monkeypatch, profiled)
+        assert traced_calls == plain_calls
+        assert traced.simulated_accesses == plain.simulated_accesses
+        assert traced.l1_misses == plain.l1_misses
+        # The kernel's sym.access spans count exactly the explicit
+        # accesses.
+        spans = tracer.stats[("engine.warping", "sym.access")]
+        assert spans.count == traced.simulated_accesses
+
+    def test_sweep_point_with_and_without_tracer(self, monkeypatch):
+        point = SweepPoint(kernel="gemm", size=SCALED_L["gemm"],
+                           l1_size=2048, l1_assoc=8, l1_policy="plru",
+                           block_size=32)
+        # run_sweep profiles every point with its own tracer.
+        swept_calls, outcome = self._kernel_calls(
+            monkeypatch, lambda: run_sweep([point]))
+        plain_calls, plain = self._kernel_calls(
+            monkeypatch, lambda: simulate_point(point))
+        assert obs.current() is None
+        assert swept_calls == plain_calls
+        record = outcome.records[0]
+        assert record["result"]["l1_misses"] == plain.l1_misses
+        assert record["result"]["counters"]["sym.snapshot_keys"] > 0
 
 
 class TestExports:
